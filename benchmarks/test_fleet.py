@@ -2,7 +2,9 @@
 
 Serves the same mixed-class workload through growing fleets (1, 2 and 4
 nodes cycling SysHK/SysNF/SysNFF) at two arrival regimes (one burst, one
-Poisson trickle) and records, per point: aggregate and per-class tails,
+Poisson trickle), plus one fleet-scale point (32 nodes, 256 streams at
+40 streams/s) whose host cost is dominated by the fleet event loop, and
+records, per point: aggregate and per-class tails,
 deadline-miss rate, global queue wait, peak concurrency, reroutes and
 the shared per-platform LP-cache hit rate. Results land in the usual
 ``benchmarks/results`` pair *and* as the committed root-level
@@ -34,6 +36,8 @@ FLEET_SIZES = (1, 2, 4)
 ARRIVAL_RATES = (0.0, 20.0)     # burst vs Poisson trickle
 N_STREAMS = 8
 N_FRAMES = 4
+#: The fleet-scale point: (nodes, arrival rate, streams).
+LARGE_POINT = (32, 40.0, 256)
 REGRESSION_TOL = 0.25
 
 #: Metrics that are pure simulated state: bit-deterministic, gated exact.
@@ -43,11 +47,11 @@ DETERMINISTIC = (
 )
 
 
-def fleet_point(n_nodes: int, arrival_rate: float) -> dict:
+def fleet_point(n_nodes: int, arrival_rate: float, n_streams: int = N_STREAMS) -> dict:
     import time
 
     wl = build_workload(
-        N_STREAMS, n_frames=N_FRAMES, mix="broadcast",
+        n_streams, n_frames=N_FRAMES, mix="broadcast",
         arrival_rate=arrival_rate, seed=7,
     )
     cluster = Cluster(ClusterConfig(
@@ -62,7 +66,7 @@ def fleet_point(n_nodes: int, arrival_rate: float) -> dict:
     m = cluster.run(wl)
     wall_s = time.perf_counter() - t0
     hit_rates = [c["hit_rate"] for c in m.lp_cache.values()]
-    return {
+    point = {
         "nodes": n_nodes,
         "arrival_rate": arrival_rate,
         "frames_encoded": m.frames_encoded,
@@ -83,6 +87,13 @@ def fleet_point(n_nodes: int, arrival_rate: float) -> dict:
         ) if hit_rates else 0.0,
         "wall_s": round(wall_s, 3),
     }
+    if n_streams != N_STREAMS:
+        point["streams"] = n_streams
+    return point
+
+
+def point_key(p: dict) -> tuple:
+    return (p["nodes"], p["arrival_rate"], p.get("streams", N_STREAMS))
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +110,14 @@ def sweep(committed):
         fleet_point(n, rate)
         for rate in ARRIVAL_RATES
         for n in FLEET_SIZES
-    ]
+    ] + [fleet_point(*LARGE_POINT)]
 
 
 def test_fleet_table_and_snapshot(sweep, emit):
     rows = [
         [
             p["nodes"],
+            p.get("streams", N_STREAMS),
             f"{p['arrival_rate']:g}",
             p["frames_encoded"],
             p["streams_done"],
@@ -117,10 +129,10 @@ def test_fleet_table_and_snapshot(sweep, emit):
         for p in sweep
     ]
     table = format_table(
-        ["nodes", "arr/s", "frames", "done", "p99 ms", "miss",
+        ["nodes", "streams", "arr/s", "frames", "done", "p99 ms", "miss",
          "qwait ms", "peak"],
         rows,
-        title=f"fleet sweep — {N_STREAMS} broadcast streams x {N_FRAMES} frames",
+        title=f"fleet sweep — broadcast streams x {N_FRAMES} frames",
     )
     emit("fleet_sweep", table)
     blob = {
@@ -139,8 +151,9 @@ def test_fleet_table_and_snapshot(sweep, emit):
 
 def test_every_stream_lands_somewhere(sweep):
     for p in sweep:
-        assert p["streams_done"] == N_STREAMS, p
-        assert p["frames_encoded"] == N_STREAMS * N_FRAMES, p
+        n_streams = p.get("streams", N_STREAMS)
+        assert p["streams_done"] == n_streams, p
+        assert p["frames_encoded"] == n_streams * N_FRAMES, p
 
 
 def test_bigger_fleets_parallelize(sweep):
@@ -150,7 +163,10 @@ def test_bigger_fleets_parallelize(sweep):
     # here: a mixed fleet trades queue wait for slower-node service, so
     # the tail can legitimately move either way.
     for rate in ARRIVAL_RATES:
-        points = {p["nodes"]: p for p in sweep if p["arrival_rate"] == rate}
+        points = {
+            p["nodes"]: p for p in sweep
+            if p["arrival_rate"] == rate and "streams" not in p
+        }
         assert points[4]["duration_s"] <= points[1]["duration_s"]
         assert points[4]["peak_concurrent"] >= points[1]["peak_concurrent"]
 
@@ -159,13 +175,10 @@ def test_no_regression_vs_committed_snapshot(sweep, committed):
     """The 25% machine-normalized gate (exact for simulated metrics)."""
     if committed is None:
         pytest.skip("no committed BENCH_FLEET.json yet (run once and commit)")
-    by_key = {
-        (p["nodes"], p["arrival_rate"]): p
-        for p in committed.get("points", [])
-    }
+    by_key = {point_key(p): p for p in committed.get("points", [])}
     failures = []
     for cur in sweep:
-        ref = by_key.get((cur["nodes"], cur["arrival_rate"]))
+        ref = by_key.get(point_key(cur))
         if ref is None:
             continue
         for key in DETERMINISTIC:

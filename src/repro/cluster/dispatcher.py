@@ -17,27 +17,35 @@ shape at fleet scale:
 - a reactive :class:`~repro.cluster.autoscale.Autoscaler` adds or drains
   nodes on sustained queue depth or realtime-p99 breach.
 
-The fleet loop (:meth:`Cluster.run`) advances simulated time strictly in
-event order: at each iteration the earliest of (next arrival, next node
-fault, earliest node able to act) wins; arrivals due by that time are
-dispatched first, then the earliest actionable node runs exactly one
-scheduling round on its own service clock. Because per-node rounds run
-on the service's unmodified code path and a single-node fleet degenerates
-to "deliver arrivals, then step the node" — the exact ``repro serve``
-loop — a one-node cluster is bit-identical to the standalone service
-(regression-tested; see DESIGN.md → Cluster layer).
+The fleet loop (:meth:`Cluster.run`) is event-driven and handles exactly
+one event per iteration (a *tick*): the earliest of (next arrival, next
+node fault, earliest node able to act) wins. Nodes sit in a next-event
+heap keyed on ``(t, node.index)``: a node is re-keyed only after
+something touched it — a step, an offer, an eviction or retirement, or
+its addition by the autoscaler — and each entry carries the node's
+:attr:`~repro.cluster.node.Node.version`, so entries a later touch
+superseded are discarded when they surface (lazy invalidation). On a
+step tick the arrivals due by that time are dispatched first, then the
+earliest actionable node runs exactly one scheduling round on its own
+service clock. Because per-node rounds run on the service's unmodified
+code path and a single-node fleet degenerates to "deliver arrivals, then
+step the node" — the exact ``repro serve`` loop — a one-node cluster is
+bit-identical to the standalone service (regression-tested; see
+DESIGN.md → Cluster layer).
 
-Determinism: nodes are scanned in stable insertion order, the global
-queue is FIFO, routing tie-breaks on node index, and nothing iterates a
-``set``/``dict`` whose order could leak — fleet runs are bit-identical
-across ``PYTHONHASHSEED`` and node-insertion shuffles.
+Determinism: equal event times break on the node's stable insertion
+index, the global queue is FIFO, routing tie-breaks on node index, and
+nothing iterates a ``set``/``dict`` whose order could leak — fleet runs
+are bit-identical across ``PYTHONHASHSEED`` and node-insertion shuffles.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from pathlib import Path
 
 from repro.cluster.autoscale import (
@@ -91,6 +99,7 @@ class StreamState:
 
     spec: StreamSpec                  # original submission
     pending_spec: StreamSpec          # what the next placement will run
+    order: int = 0                    # submission ordinal in the fleet
     state: str = S_QUEUED
     segments: list[Segment] = field(default_factory=list)
     reroutes: int = 0
@@ -188,19 +197,20 @@ class Dispatcher:
         """Offer a stream's pending spec to a node; book the segment."""
         self.now = max(self.now, t)
         session, outcome = node.offer(st.pending_spec, t)
+        self.cluster.touch(node)
         if outcome == REJECTED:
             st.state = S_REJECTED
             self.counts["rejected"] += 1
             _journal(self, "reject", self.now, detail=st.stream_id)
             return outcome
-        st.segments.append(
-            Segment(
-                node_id=node.node_id,
-                session=session,
-                offset=st.frames_done,
-                t_routed=t,
-            )
+        seg = Segment(
+            node_id=node.node_id,
+            session=session,
+            offset=st.frames_done,
+            t_routed=t,
         )
+        st.segments.append(seg)
+        self.cluster.index_segment(node, st, seg)
         st.state = S_PLACED
         self.counts["placed"] += 1
         _journal(self, "place", self.now, detail=st.stream_id)
@@ -210,7 +220,7 @@ class Dispatcher:
         """A brand-new stream arrives at the cluster at time ``t``."""
         if spec.stream_id in self.streams:
             raise ValueError(f"duplicate stream id {spec.stream_id!r}")
-        st = StreamState(spec=spec, pending_spec=spec)
+        st = StreamState(spec=spec, pending_spec=spec, order=len(self.streams))
         self.streams[spec.stream_id] = st
         nodes = self.cluster.live_nodes()
         # Direct placement only when nobody is waiting — mirrors the
@@ -261,6 +271,8 @@ class Dispatcher:
         Strict FIFO like the per-node queue: a big stream at the head
         blocks those behind it rather than being starved forever.
         """
+        if not self.queue:
+            return 0
         placed = 0
         nodes = self.cluster.live_nodes()
         while self.queue:
@@ -291,6 +303,17 @@ class Cluster:
         self.policy = get_policy(cfg.policy)
         self._lp_batches: dict[str, RoundLPBatch] = {}
         self.nodes: list[Node] = []       # every node ever, stable order
+        self._live: list[Node] = []       # the UP ones, same order
+        # Next-event heap of (t, node.index, node.version); nodes touched
+        # since the last peek, by index, wait in _touched to be re-keyed.
+        self._events: list[tuple[float, int, int]] = []
+        self._touched: dict[int, Node] = {}
+        # Per node index: (stream order, stream, segment) of every
+        # placement on that node that can still encode, in stream
+        # submission order.
+        self._segments: list[list[tuple[int, StreamState, Segment]]] = []
+        self._running: list[int] = []     # n_running per node, last touch
+        self.n_running = 0                # sum of _running
         for spec in cfg.nodes:
             self._add_node(spec, start_s=0.0)
         self.n_baseline = len(self.nodes)
@@ -322,10 +345,15 @@ class Cluster:
             index=len(self.nodes),
         )
         self.nodes.append(node)
+        self._live.append(node)
+        self._segments.append([])
+        self._running.append(0)
+        self.touch(node)
         return node
 
     def live_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.state == UP]
+        """The UP nodes in insertion order (maintained; do not mutate)."""
+        return self._live
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -335,13 +363,31 @@ class Cluster:
 
     # ------------------------------------------------------------------
 
-    def _session_states(self) -> dict[int, StreamState]:
-        """id(session) → owning StreamState, via the segment registry."""
-        out: dict[int, StreamState] = {}
-        for st in self.dispatcher.streams.values():
-            for seg in st.segments:
-                out[id(seg.session)] = st
-        return out
+    def touch(self, node: Node) -> None:
+        """Note a mutated node: re-key it before the next event is picked."""
+        self._touched[node.index] = node
+        running = node.n_running
+        self.n_running += running - self._running[node.index]
+        self._running[node.index] = running
+
+    def index_segment(self, node: Node, st: StreamState, seg: Segment) -> None:
+        """Register a placement in the node's segment index."""
+        insort(self._segments[node.index], (st.order, st, seg), key=lambda e: e[0])
+
+    def _next_due(self) -> tuple[float, Node] | None:
+        """Earliest ``(t, node)`` able to act; ties go to the lower index."""
+        events = self._events
+        for index, node in self._touched.items():
+            if node.state == UP and (t := node.next_action_s()) is not None:
+                heappush(events, (t, index, node.version))
+        self._touched.clear()
+        while events:
+            t, index, version = events[0]
+            node = self.nodes[index]
+            if version == node.version:
+                return t, node
+            heappop(events)               # superseded by a later touch
+        return None
 
     def _apply_node_fault(self, ev: NodeFaultEvent) -> None:
         """Whole-node dropout/drain: evict everything, requeue survivors."""
@@ -357,10 +403,15 @@ class Cluster:
             return
         running, queued = node.evict_all(ev.at_s)
         node.retire(ev.at_s, DOWN if ev.kind == NODE_DOWN else DRAINED)
+        self._live.remove(node)
+        self.touch(node)
         self.node_fault_log.append(ev)
         self.evicted_sessions += len(running)
 
-        by_session = self._session_states()
+        by_session = {
+            id(seg.session): st for _, st, seg in self._segments[node.index]
+        }
+        self._segments[node.index] = []
         survivors: list[StreamState] = []
         for session in running:           # admission order — deterministic
             st = by_session[id(session)]
@@ -385,7 +436,9 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def _autoscale_tick(self, t: float) -> None:
-        live = self.live_nodes()
+        if not self.cfg.autoscale.enabled:
+            return                        # a disabled scaler always holds
+        live = self._live
         n_scaled = sum(1 for n in live if n.index >= self.n_baseline)
         headroom = sum(n.spec.headroom for n in live)
         committed = sum(n.committed_fraction() for n in live)
@@ -427,20 +480,24 @@ class Cluster:
 
     # ------------------------------------------------------------------
 
-    def _after_step(self, node: Node) -> None:
-        """Post-round bookkeeping: autoscaler latency feed, concurrency."""
-        for st in self.dispatcher.streams.values():
-            for seg in st.segments:
-                if seg.node_id != node.node_id:
-                    continue
-                recs = seg.session.records
-                for rec in recs[seg.frames_seen:]:
-                    self.autoscaler.observe_frame(
-                        seg.session.spec.deadline_class, rec.latency_s
-                    )
-                seg.frames_seen = len(recs)
-        concurrent = sum(n.n_running for n in self.live_nodes())
-        self.peak_concurrent = max(self.peak_concurrent, concurrent)
+    def _observe_frames(self, node: Node) -> None:
+        """Feed a stepped node's new frames to the autoscaler's p99 window.
+
+        Segments are walked in stream submission order (the window is a
+        bounded deque, so feed order decides what it holds); finished
+        segments leave the index once fed.
+        """
+        kept = []
+        for order, st, seg in self._segments[node.index]:
+            recs = seg.session.records
+            for rec in recs[seg.frames_seen:]:
+                self.autoscaler.observe_frame(
+                    seg.session.spec.deadline_class, rec.latency_s
+                )
+            seg.frames_seen = len(recs)
+            if not seg.session.done:
+                kept.append((order, st, seg))
+        self._segments[node.index] = kept
 
     def run(self, workload: list[StreamSpec]) -> ClusterMetrics:
         """Serve a complete workload across the fleet; returns metrics."""
@@ -456,17 +513,8 @@ class Cluster:
 
             t_arr = pending[i].arrival_s if i < len(pending) else None
             t_fault = faults.next_at_s()
-            candidates = [
-                (t_n, node.index, node)
-                for node in self.live_nodes()
-                if (t_n := node.next_action_s()) is not None
-            ]
-            if candidates:
-                t_step, _, step_node = min(
-                    candidates, key=lambda c: (c[0], c[1])
-                )
-            else:
-                t_step, step_node = None, None
+            due = self._next_due()
+            t_step, step_node = due if due is not None else (None, None)
 
             times = [t for t in (t_arr, t_fault, t_step) if t is not None]
             if not times:
@@ -498,8 +546,7 @@ class Cluster:
                     i += 1
                 self.dispatcher.drain(t_arr)
                 self._autoscale_tick(t_arr)
-                concurrent = sum(n.n_running for n in self.live_nodes())
-                self.peak_concurrent = max(self.peak_concurrent, concurrent)
+                self.peak_concurrent = max(self.peak_concurrent, self.n_running)
                 continue
 
             # 3. Step the earliest actionable node one scheduling round,
@@ -511,8 +558,12 @@ class Cluster:
             self._autoscale_tick(t_step)
             next_arrival = pending[i].arrival_s if i < len(pending) else None
             assert step_node is not None
-            step_node.step(next_arrival)
-            self._after_step(step_node)
+            # The autoscaler may have just drained the node that was due.
+            if step_node.state == UP:
+                step_node.step(next_arrival)
+                self.touch(step_node)
+                self._observe_frames(step_node)
+            self.peak_concurrent = max(self.peak_concurrent, self.n_running)
 
         # Streams stuck in the global queue with no routable node left.
         for st in self.dispatcher.queue:

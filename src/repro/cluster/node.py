@@ -13,6 +13,12 @@ round at a time through :meth:`Node.step`, and the fault machinery empties
 it through :meth:`Node.evict_all`. Because a node's rounds run on the
 service's own code path, a single-node fleet is bit-identical to
 ``repro serve`` on the same workload (see DESIGN.md → Cluster layer).
+
+Those three mutators and :meth:`Node.retire` are the only ways the
+node's state moves, and each bumps :attr:`Node.version`. The fleet's
+next-event heap tags its entries with the version they were keyed at,
+and the committed-fraction cache is recomputed only when the version
+moved.
 """
 
 from __future__ import annotations
@@ -86,6 +92,9 @@ class Node:
         _journal(self, "create", start_s, detail=spec.node_id)
         self.joined_s = start_s
         self.retired_s: float | None = None
+        #: Bumped by every mutator (offer/step/evict_all/retire).
+        self.version = 0
+        self._committed = (-1, 0.0)     # (version, committed fraction)
 
     # ------------------------------------------------------------------
 
@@ -119,10 +128,18 @@ class Node:
         return self.n_running == 0 and self.n_queued == 0
 
     def committed_fraction(self) -> float:
-        """Platform fraction promised to this node's running sessions."""
-        svc = self.service
-        live = svc.live_devices(svc.rounds + 1)
-        return svc.admission.committed_fraction(live)
+        """Platform fraction promised to this node's running sessions.
+
+        Cached per :attr:`version` and always recomputed from scratch in
+        ``admission.running`` order — never patched with ``+=``/``-=``,
+        whose different float rounding would move routing decisions.
+        """
+        version, committed = self._committed
+        if version != self.version:
+            svc = self.service
+            committed = svc.admission.committed_fraction(svc.live)
+            self._committed = (self.version, committed)
+        return committed
 
     def load(self) -> float:
         """Committed fraction normalized by the admission headroom."""
@@ -131,15 +148,13 @@ class Node:
     def demand_fraction(self, spec: StreamSpec) -> float:
         """Model-estimated fraction of *this node* the stream needs."""
         svc = self.service
-        live = svc.live_devices(svc.rounds + 1)
-        return svc.capacity.demand_fraction(spec, live)
+        return svc.capacity.demand_fraction(spec, svc.live)
 
     def fps_capacity(self, spec: StreamSpec) -> float:
         """Sustainable fps for streams of this shape on this node."""
         svc = self.service
-        live = svc.live_devices(svc.rounds + 1)
         return svc.capacity.fps_capacity(
-            spec.codec_config(), spec.num_ref_frames, live
+            spec.codec_config(), spec.num_ref_frames, svc.live
         )
 
     # ------------------------------------------------------------------
@@ -153,11 +168,9 @@ class Node:
         waiting; otherwise the bounded node queue must have a free slot.
         """
         adm = self.service.admission
-        svc = self.service
-        live = svc.live_devices(svc.rounds + 1)
         if not adm.queue:
-            demand = adm.capacity.demand_fraction(spec, live)
-            if adm.committed_fraction(live) + demand <= adm.headroom + 1e-9:
+            demand = adm.capacity.demand_fraction(spec, self.service.live)
+            if self.committed_fraction() + demand <= adm.headroom + 1e-9:
                 return True
         return len(adm.queue) < adm.max_queue
 
@@ -172,8 +185,8 @@ class Node:
         svc = self.service
         svc.now = max(svc.now, now)
         _journal(self, "offer", svc.now, detail=spec.stream_id)
-        live = svc.live_devices(svc.rounds + 1)
-        session = svc.submit(spec, live)
+        session = svc.submit(spec, svc.live)
+        self.version += 1
         if session.state == RUNNING:
             return session, ADMITTED
         if session.state == SESSION_QUEUED:
@@ -207,6 +220,7 @@ class Node:
         """Advance the node one service round (see ``EncodingService``)."""
         _journal(self, "step", self.service.now, detail=self.node_id)
         live = self.service.begin_round()
+        self.version += 1
         return self.service.step_round(live, next_arrival_s)
 
     # ------------------------------------------------------------------
@@ -225,6 +239,7 @@ class Node:
         svc.now = max(svc.now, now)
         _journal(self, "evict_all", svc.now, detail=self.node_id)
         running, queued = svc.admission.evict_all()
+        self.version += 1
         for s in running:
             s.state = EVICTED
             _journal(s, "evict", svc.now, detail=s.stream_id)
@@ -237,6 +252,7 @@ class Node:
             raise ValueError(f"retire state must be down/drained, got {state!r}")
         self.state = state
         self.retired_s = now
+        self.version += 1
         _journal(self, "retire", max(now, self.service.now), detail=self.node_id)
         # A retired process-backed node must not leak worker pools or
         # shared-memory segments (no-op for sim sessions).

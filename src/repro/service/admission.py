@@ -39,6 +39,9 @@ class CapacityModel:
 
     def __init__(self, platform: Platform) -> None:
         self.specs: list[DeviceSpec] = [d.spec for d in platform.devices]
+        # platform_frame_s by (stream shape, live set): routing asks it
+        # for every node on every placement attempt.
+        self._frame_s: dict[tuple, float] = {}
 
     def device_frame_s(self, spec: DeviceSpec, cfg: CodecConfig, refs: int) -> float:
         """Single-device inter-frame time for a codec configuration."""
@@ -71,9 +74,17 @@ class CapacityModel:
         self, spec: StreamSpec, live: frozenset[str] | set[str] | None = None
     ) -> float:
         """Model-estimated platform fraction a stream needs."""
-        return spec.fps_target * self.platform_frame_s(
-            spec.codec_config(), spec.num_ref_frames, live
+        key = (
+            spec.width, spec.height, spec.search_range, spec.num_ref_frames,
+            None if live is None else frozenset(live),
         )
+        frame_s = self._frame_s.get(key)
+        if frame_s is None:
+            frame_s = self.platform_frame_s(
+                spec.codec_config(), spec.num_ref_frames, live
+            )
+            self._frame_s[key] = frame_s
+        return spec.fps_target * frame_s
 
 
 class AdmissionController:

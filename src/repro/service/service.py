@@ -134,6 +134,10 @@ class EncodingService:
         self.sessions: list[EncodingSession] = []
         self.now = 0.0
         self.rounds = 0
+        #: Live device set of the next round (``rounds + 1``). The fault
+        #: schedule is fixed at construction, so it changes only when a
+        #: round completes.
+        self.live = self.live_devices(1)
         self._metrics: ServiceMetrics | None = None
 
     # ------------------------------------------------------------------
@@ -148,12 +152,11 @@ class EncodingService:
 
     def begin_round(self) -> frozenset[str]:
         """Guard the round budget and return the live device set."""
-        round_idx = self.rounds + 1
-        if round_idx > self.cfg.max_rounds:
+        if self.rounds + 1 > self.cfg.max_rounds:
             raise RuntimeError(
                 f"service exceeded max_rounds={self.cfg.max_rounds}"
             )
-        return self.live_devices(round_idx)
+        return self.live
 
     def submit(self, spec: StreamSpec, live: frozenset[str]) -> EncodingSession:
         """Create a session for a newly arrived stream and offer it."""
@@ -211,6 +214,7 @@ class EncodingService:
                 self.admission.release(s)
         self.now += round_dur
         self.rounds += 1
+        self.live = self.live_devices(self.rounds + 1)
         return ENCODED
 
     def close(self) -> None:
