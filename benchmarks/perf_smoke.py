@@ -2,10 +2,9 @@
 
 Produces the three root-level snapshots the repository commits:
 
-- ``BENCH_OVERHEAD.json`` — per-platform scheduling overhead of the cold
-  path (every optimization off) vs the fast path (warm-start LP,
-  characterization caches, vectorized DES) at rtol=0, where the two must
-  produce bit-identical simulated timelines;
+- ``BENCH_OVERHEAD.json`` — per platform, the number of HiGHS solves
+  (LP-cache misses) and the per-frame scheduling overhead over a fixed
+  40-frame run at rtol=0, with the host's core count;
 - ``BENCH_SERVICE.json`` — a small multi-stream service run on SysHK
   with the shared cross-session LP cache, recording round/frame counts,
   cache hit rate, and host-side wall time;
@@ -21,17 +20,18 @@ Usage::
     python benchmarks/perf_smoke.py --check --only parallel --workers 2
 
 ``--check`` compares fresh measurements against the committed snapshots
-and fails when the fast path regresses by more than ``REGRESSION_TOL``
-(25%). Absolute milliseconds vary across machines, so the gated metrics
-are machine-normalized:
+and fails on a regression. Absolute milliseconds vary across machines,
+so the gates are deterministic counts or compare like with like:
 
-- ``relative_overhead`` = fast ms / cold ms, measured in the same
-  process on the same host — a genuine fast-path regression raises it
-  regardless of how fast the CI runner is;
-- the service LP-cache ``hit_rate`` and the deterministic ``rounds`` /
-  ``frames`` counts, which must not degrade at all;
-- ``timelines_identical``, which must stay true (the fast path is only
-  acceptable while bit-identical to the cold path);
+- ``highs_solves`` per platform, a deterministic count that must not
+  rise at all (the primary scheduling-overhead gate: every HiGHS call
+  is the bulk of a frame's scheduling cost, and the solve cache and
+  exact decision reuse exist to avoid them);
+- ``fast_ms_per_frame``, at most ``REGRESSION_TOL`` (25%) above the
+  snapshot, checked only when the snapshot was taken on a host with the
+  same core count;
+- the service LP-cache ``hit_rate`` (25%) and the deterministic
+  ``rounds`` / ``frames`` counts, which must not degrade at all;
 - the process backend's ``bit_identical`` flags (always), its speedup
   vs the snapshot (same-core-count hosts only, 25% tolerance), the
   ≥2x-at-4-workers floor (hosts with ≥4 cores only), and a loose sanity
@@ -120,29 +120,17 @@ def _best_overhead(
 def measure_overhead() -> dict:
     out: dict[str, dict] = {}
     for platform in PLATFORMS:
-        cold_ms, cold = _best_overhead(platform, FrameworkConfig(
-            lb_cache_rtol=0.0, lp_warm_start=False, char_cache=False,
-            des_fast=False,
-        ))
-        fast_ms, fast = _best_overhead(platform, FrameworkConfig(
-            lb_cache_rtol=0.0, lp_warm_start=True, char_cache=True,
-            des_fast=True,
-        ))
+        ms, fw = _best_overhead(platform, FrameworkConfig(lb_cache_rtol=0.0))
         out[platform] = {
-            "cold_ms_per_frame": round(cold_ms, 4),
-            "fast_ms_per_frame": round(fast_ms, 4),
-            "speedup": round(cold_ms / fast_ms, 2) if fast_ms > 0 else None,
-            "relative_overhead": (
-                round(fast_ms / cold_ms, 4) if cold_ms > 0 else None
-            ),
-            "timelines_identical": (
-                cold.frame_times_ms() == fast.frame_times_ms()
-            ),
+            "highs_solves": fw.balancer.lp_cache.misses,
+            "lp_cache_hits": fw.balancer.lp_cache.hits,
+            "fast_ms_per_frame": round(ms, 4),
         }
     return {
-        "benchmark": "scheduling overhead, cold vs fast path (rtol=0)",
+        "benchmark": "scheduling overhead: HiGHS solves and ms/frame (rtol=0)",
         "config": "1080p, 32x32 SA, 1 RF",
         "n_frames": N_FRAMES,
+        "host_cores": host_cores(),
         "platforms": out,
     }
 
@@ -349,21 +337,26 @@ def check(overhead: dict | None, service: dict | None) -> list[str]:
     snap_o = json.loads(OVERHEAD_PATH.read_text()) if overhead else {}
     snap_s = json.loads(SERVICE_PATH.read_text()) if service else {}
 
+    same_cores = overhead is not None and (
+        snap_o.get("host_cores") == overhead["host_cores"]
+    )
     for platform, cur in (overhead or {"platforms": {}})["platforms"].items():
-        if not cur["timelines_identical"]:
-            failures.append(
-                f"{platform}: fast-path timelines diverge from cold path"
-            )
         snap = snap_o.get("platforms", {}).get(platform)
         if snap is None:
             continue
-        rel, snap_rel = cur["relative_overhead"], snap.get("relative_overhead")
-        if rel is not None and snap_rel:
-            if rel > snap_rel * (1 + REGRESSION_TOL):
-                failures.append(
-                    f"{platform}: relative overhead {rel:.4f} regressed "
-                    f">{REGRESSION_TOL:.0%} vs snapshot {snap_rel:.4f}"
-                )
+        if cur["highs_solves"] > snap["highs_solves"]:
+            failures.append(
+                f"{platform}: {cur['highs_solves']} HiGHS solves over "
+                f"{N_FRAMES} frames, snapshot {snap['highs_solves']} "
+                "(deterministic count must not rise)"
+            )
+        ms, snap_ms = cur["fast_ms_per_frame"], snap["fast_ms_per_frame"]
+        if same_cores and ms > snap_ms * (1 + REGRESSION_TOL):
+            failures.append(
+                f"{platform}: scheduling overhead {ms:.4f} ms/frame "
+                f"regressed >{REGRESSION_TOL:.0%} vs snapshot "
+                f"{snap_ms:.4f} ms/frame"
+            )
 
     for point, cur in (service or {"workloads": {}})["workloads"].items():
         snap = snap_s.get("workloads", {}).get(point)
@@ -415,9 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         parallel = measure_parallel(counts)
 
     for platform, v in (overhead or {"platforms": {}})["platforms"].items():
-        print(f"{platform}: cold {v['cold_ms_per_frame']:.3f} ms -> fast "
-              f"{v['fast_ms_per_frame']:.3f} ms ({v['speedup']}x), "
-              f"identical={v['timelines_identical']}")
+        print(f"{platform}: {v['highs_solves']} HiGHS solves, "
+              f"{v['lp_cache_hits']} LP-cache hits, "
+              f"{v['fast_ms_per_frame']:.3f} ms/frame")
     for point, v in (service or {"workloads": {}})["workloads"].items():
         misses = ", ".join(
             f"{cls}={rate:.0%}" for cls, rate in v["class_miss_rates"].items()

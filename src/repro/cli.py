@@ -618,6 +618,18 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
+def _phase_table(profiler, frames: int, title: str) -> str:
+    """The ``repro profile`` per-phase table of a :class:`PhaseProfiler`."""
+    rows = [
+        [r["phase"], r["calls"], f"{r['total_ms']:.2f}",
+         f"{r['ms_per_frame']:.3f}", f"{100 * r['share']:.1f}%"]
+        for r in profiler.report(frames)
+    ]
+    return format_table(
+        ["phase", "calls", "total ms", "ms/frame", "share"], rows, title=title
+    )
+
+
 def _cmd_profile_process(args: argparse.Namespace) -> int:
     """``profile --backend process``: measured exec-phase breakdown."""
     from repro.util.profiling import PhaseProfiler
@@ -642,18 +654,10 @@ def _cmd_profile_process(args: argparse.Namespace) -> int:
         fw.encode(frames)
         accuracy = fw.accuracy_report().summary()
         workers = fw.manager.workers
-    rows = [
-        [r["phase"], r["calls"], f"{r['total_ms']:.2f}",
-         f"{r['ms_per_frame']:.3f}", f"{100 * r['share']:.1f}%"]
-        for r in profiler.report(args.frames)
-    ]
-    print(format_table(
-        ["phase", "calls", "total ms", "ms/frame", "share"], rows,
-        title=(
-            f"process backend: {args.platform}, {cfg.width}x{cfg.height}, "
-            f"{args.frames} frames, {workers} workers"
-        ),
-    ))
+    print(_phase_table(profiler, args.frames, (
+        f"process backend: {args.platform}, {cfg.width}x{cfg.height}, "
+        f"{args.frames} frames, {workers} workers"
+    )))
     if accuracy.get("frames", 0):
         phase_err = ", ".join(
             f"{k} {100 * v:.1f}%"
@@ -689,59 +693,24 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.util.profiling import PhaseProfiler
 
     cfg = _codec_cfg(args)
-
-    def run_one(fw_cfg: FrameworkConfig) -> tuple[FevesFramework, PhaseProfiler]:
-        profiler = PhaseProfiler()
-        fw = FevesFramework(
-            get_platform(args.platform), cfg, fw_cfg, profiler=profiler
-        )
-        fw.run_model(args.frames)
-        if args.sanitize:
-            from repro.sanitizers import TimelineSanitizer
-
-            with profiler.phase("sanitizer"):
-                report = TimelineSanitizer.for_framework(fw).check_run(fw)
-                report.extend(TimelineSanitizer.check_protocols())
-            if not report.clean:
-                print(f"warning: sanitizer: {report.summary()}", file=sys.stderr)
-        return fw, profiler
-
-    # Fast path (rtol=0 keeps its decisions bit-identical to cold) vs the
-    # cold path with every optimization disabled — same model, same
-    # schedule, different host-side work.
-    fast_fw, fast_prof = run_one(FrameworkConfig(
-        lb_cache_rtol=0.0, lp_warm_start=True, char_cache=True, des_fast=True,
-    ))
-    cold_fw, cold_prof = run_one(FrameworkConfig(
-        lb_cache_rtol=0.0, lp_warm_start=False, char_cache=False, des_fast=False,
-    ))
-
-    def table(label: str, fw: FevesFramework, prof: PhaseProfiler) -> None:
-        rows = [
-            [r["phase"], r["calls"], f"{r['total_ms']:.2f}",
-             f"{r['ms_per_frame']:.3f}", f"{100 * r['share']:.1f}%"]
-            for r in prof.report(args.frames)
-        ]
-        print(format_table(
-            ["phase", "calls", "total ms", "ms/frame", "share"], rows,
-            title=(
-                f"{label}: {args.platform}, {args.frames} frames — "
-                f"LB overhead {fw.scheduling_overhead_ms:.3f} ms/frame"
-            ),
-        ))
-
-    table("fast (warm-start + caches + vectorized DES)", fast_fw, fast_prof)
-    print()
-    table("cold (all optimizations off)", cold_fw, cold_prof)
-    fast_ms = fast_fw.scheduling_overhead_ms
-    cold_ms = cold_fw.scheduling_overhead_ms
-    ratio = cold_ms / fast_ms if fast_ms > 0 else float("inf")
-    print(f"\nper-frame scheduling overhead: cold {cold_ms:.3f} ms -> "
-          f"fast {fast_ms:.3f} ms ({ratio:.1f}x)")
-    same = (
-        fast_fw.frame_times_ms() == cold_fw.frame_times_ms()
+    profiler = PhaseProfiler()
+    fw = FevesFramework(
+        get_platform(args.platform), cfg, FrameworkConfig(), profiler=profiler
     )
-    print(f"simulated timelines identical: {'yes' if same else 'NO'}")
+    fw.run_model(args.frames)
+    if args.sanitize:
+        from repro.sanitizers import TimelineSanitizer
+
+        with profiler.phase("sanitizer"):
+            report = TimelineSanitizer.for_framework(fw).check_run(fw)
+            report.extend(TimelineSanitizer.check_protocols())
+        if not report.clean:
+            print(f"warning: sanitizer: {report.summary()}", file=sys.stderr)
+    overhead_ms = fw.scheduling_overhead_ms
+    print(_phase_table(profiler, args.frames, (
+        f"{args.platform}, {args.frames} frames — "
+        f"LB overhead {overhead_ms:.3f} ms/frame"
+    )))
     if args.json:
         import json
         from pathlib import Path
@@ -751,19 +720,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "frames": args.frames,
             "sa": args.sa,
             "refs": args.refs,
-            "fast": {
-                "overhead_ms_per_frame": fast_ms,
-                **fast_prof.to_dict(args.frames),
-            },
-            "cold": {
-                "overhead_ms_per_frame": cold_ms,
-                **cold_prof.to_dict(args.frames),
-            },
-            "speedup": ratio,
-            "timelines_identical": same,
+            "overhead_ms_per_frame": overhead_ms,
+            **profiler.to_dict(args.frames),
         }, indent=1))
         print(f"wrote profile JSON to {args.json}")
-    return 0 if same else 1
+    return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -1112,13 +1073,11 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="per-phase breakdown of the scheduling overhead",
         description=(
-            "Run the same model-mode encode twice — fast path (warm-start "
-            "LP, characterization caches, vectorized DES) and cold path "
-            "(every optimization disabled) — and attribute the host-side "
-            "per-frame overhead to its phases: Δ-bounds, LP build, LP "
-            "solve, distribution, transfer planning, and DES. Both runs "
-            "use an exact decision cache (rtol=0), so the simulated "
-            "timelines must be bit-identical; exit code 1 if they are not."
+            "Run a model-mode encode and attribute the host-side "
+            "per-frame scheduling overhead to its phases: Δ-bounds, LP "
+            "build, LP solve, distribution, transfer planning, and DES. "
+            "With --backend process, profile the measured exec phases of "
+            "a real parallel encode instead."
         ),
     )
     prof.add_argument("--platform", default="SysHK", choices=list_platforms())

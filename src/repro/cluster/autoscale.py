@@ -93,7 +93,7 @@ class Autoscaler:
         self._idle_ticks = 0
         self._cooldown = 0
         self._template_i = 0
-        self._recent_rt_ms: deque[float] = deque(maxlen=cfg.p99_window)
+        self._recent_rt_s: deque[float] = deque(maxlen=cfg.p99_window)
         self.events: list[ScaleEvent] = []
 
     # ------------------------------------------------------------------
@@ -101,12 +101,12 @@ class Autoscaler:
     def observe_frame(self, deadline_class: str, latency_s: float) -> None:
         """Feed one completed frame into the rolling p99 window."""
         if deadline_class == "realtime":
-            self._recent_rt_ms.append(latency_s * 1e3)
+            self._recent_rt_s.append(latency_s)
 
     def realtime_p99_ms(self) -> float | None:
-        if not self._recent_rt_ms:
+        if not self._recent_rt_s:
             return None
-        return latency_percentiles_ms(list(self._recent_rt_ms))["p99"]
+        return latency_percentiles_ms(list(self._recent_rt_s))["p99"]
 
     def next_platform(self) -> str:
         """Cyclic pick from the provisioning template."""

@@ -16,8 +16,7 @@ primitive are therefore hazardous:
   copied into every child in whatever state it happens to be in.
 
 Thread pools are exempt: ``ThreadPoolExecutor`` shares the address
-space, so nothing is snapshotted (the DES backend's thread pool stays
-clean by design).
+space, so nothing is snapshotted.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from repro.cluster import (
     NodeFaultSchedule,
     NodeSpec,
 )
+from repro.cluster.autoscale import SCALE_UP, Autoscaler
 from repro.cluster.dispatcher import S_REJECTED
 from repro.cluster.node import DOWN, DRAINED
 from repro.service import StreamSpec, build_workload
@@ -172,6 +173,21 @@ class TestAutoscale:
         cluster, m = run_fleet(wl, platforms=("SysNF",))
         assert m.n_nodes == 1
         assert m.autoscale_events == ()
+
+    @pytest.mark.parametrize("slo_ms, breach", [(30.0, True), (50.0, False)])
+    def test_p99_slo_is_in_milliseconds(self, slo_ms, breach):
+        scaler = Autoscaler(AutoscaleConfig(
+            enabled=True, queue_high=99, sustain_ticks=1, p99_slo_ms=slo_ms,
+        ))
+        for _ in range(10):
+            scaler.observe_frame("realtime", 0.040)
+        assert scaler.realtime_p99_ms() == pytest.approx(40.0)
+        verdict, reason = scaler.tick(
+            queue_depth=0, n_nodes=1, n_scaled=0, load=1.0
+        )
+        assert (verdict == SCALE_UP) == breach
+        if breach:
+            assert reason == "realtime p99 40.0 ms > SLO 30.0 ms"
 
 
 class TestSharedLpCache:

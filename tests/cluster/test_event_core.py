@@ -19,6 +19,10 @@ the next arrival. The heap loop skips such a step, which in
 ``autoscale-p99`` removes one entry from the step list and changes the
 drained node's device utilization. Its ticks, peak concurrency and
 every frame latency are unchanged.
+
+Its metrics digest was also re-taken when the autoscaler's p99 got its
+units right: the same 30 ms SLO makes the same decisions, and only the
+scale-out reason text (``realtime p99 41.9 ms > SLO 30.0 ms``) moved.
 """
 
 from __future__ import annotations
@@ -90,14 +94,12 @@ def autoscale_p99():
     # A burst saturates one slow node (queue-depth and p99 scale-out),
     # then a light realtime tail after it lets the scaled nodes idle
     # (scale-in) and the p99 window breach again (scale-out mid-run).
-    # Autoscaler.realtime_p99_ms() scales its millisecond window by 1e3
-    # a second time, so this SLO acts as 30 ms of frame latency.
     cfg = ClusterConfig(
         nodes=(NodeSpec("n0", platform="SysNF", max_queue=2),),
         policy="least-loaded",
         autoscale=AutoscaleConfig(
             enabled=True, max_nodes=4, template=("SysHK", "SysNFF"),
-            queue_high=3, sustain_ticks=2, p99_slo_ms=30000.0,
+            queue_high=3, sustain_ticks=2, p99_slo_ms=30.0,
             p99_window=16, idle_ticks=10, cooldown_ticks=3,
         ),
     )
@@ -133,7 +135,7 @@ FLEETS = {
 #: name -> (ticks, peak_concurrent, metrics, latencies, steps digests).
 GOLDEN = {
     "affinity": (212, 8, "0d9f9bc61cf87baf", "f63f9f53fdbdea02", "3755bc082e2d8ec7"),
-    "autoscale-p99": (219, 7, "9fe2290a8dea06d2", "f997ab46c6e75278", "0b5f0e0de08ceb7a"),
+    "autoscale-p99": (219, 7, "f40103512df636d8", "f997ab46c6e75278", "0b5f0e0de08ceb7a"),
     "least-loaded": (220, 7, "4251970e98e941a8", "b5701aae39c6b9d9", "c079014658e52856"),
     "slack-dropout": (531, 13, "c8966cb76bdd622e", "983bd8c8438242ba", "fddbac5e87b3ed2d"),
 }

@@ -1,5 +1,4 @@
-"""Encoder features: scene-cut detection, loss concealment, motion stats,
-thread-parallel real-mode execution."""
+"""Encoder features: scene-cut detection, loss concealment, motion stats."""
 
 import numpy as np
 import pytest
@@ -100,6 +99,25 @@ class TestLossConcealment:
             dec.conceal_lost_frame()
 
 
+class TestParallelRealMode:
+    def test_parallel_thunk_exception_propagates(self, monkeypatch):
+        """A kernel failure inside a real-mode thunk aborts the encode."""
+        import repro.core.coding_manager as cm
+        from repro.core.config import FrameworkConfig
+        from repro.core.framework import FevesFramework
+        from repro.hw.presets import get_platform
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(cm, "motion_estimate_rows", boom)
+        clip = SyntheticSequence(width=128, height=96, seed=13).frames(2)
+        fw = FevesFramework(
+            get_platform("SysNFF"), CFG, FrameworkConfig(compute="real")
+        )
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            fw.encode(clip)
+
 class TestMotionStats:
     def test_panning_scene_has_motion(self):
         clip = SyntheticSequence(width=128, height=96, seed=3, pan=(0.0, 3.0),
@@ -123,41 +141,3 @@ class TestMotionStats:
         # tiny sub-pel minima; magnitudes stay small and many blocks are 0.
         assert stats.zero_fraction > 0.3
         assert stats.mean_magnitude < 2.0
-
-
-class TestParallelRealMode:
-    def test_parallel_output_identical(self):
-        from repro.core.config import FrameworkConfig
-        from repro.core.framework import FevesFramework
-        from repro.hw.presets import get_platform
-
-        clip = SyntheticSequence(width=128, height=96, seed=13).frames(4)
-        results = {}
-        for workers in (0, 3):
-            fw = FevesFramework(
-                get_platform("SysNFF"), CFG,
-                FrameworkConfig(compute="real", parallel_workers=workers),
-            )
-            results[workers] = fw.encode(clip)
-        for a, b in zip(results[0], results[3], strict=True):
-            assert a.encoded.bits == b.encoded.bits
-            np.testing.assert_array_equal(a.encoded.recon.y, b.encoded.recon.y)
-            np.testing.assert_array_equal(a.encoded.recon.v, b.encoded.recon.v)
-
-    def test_worker_bound_validated(self):
-        from repro.core.config import FrameworkConfig
-
-        with pytest.raises(ValueError):
-            FrameworkConfig(parallel_workers=100)
-
-    def test_parallel_thunk_exception_propagates(self):
-        from repro.hw.des import Op, Resource, Simulator
-
-        r = Resource("r")
-
-        def boom(op):
-            raise RuntimeError("kernel failed")
-
-        Op("a", r, 1.0, thunk=boom)
-        with pytest.raises(RuntimeError, match="kernel failed"):
-            Simulator([r]).run(parallel_workers=2)

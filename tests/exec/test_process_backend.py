@@ -258,6 +258,10 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="backend"):
             FrameworkConfig(backend="gpu-cluster")
 
+    def test_worker_bound_validated(self):
+        with pytest.raises(ValueError, match="exec_workers"):
+            FrameworkConfig(compute="real", backend="process", exec_workers=100)
+
     def test_run_frame_requires_context(self):
         be = ProcessBackend(
             get_platform("SysHK"), CFG,

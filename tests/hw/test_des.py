@@ -155,6 +155,7 @@ class TestFailOk:
         assert (b.start, b.end) == (1.0, 3.0)
 
     def test_parallel_fail_ok_captures_error(self):
+        """A captured fault on one engine leaves a parallel engine alone."""
         r1, r2 = Resource("r1"), Resource("r2")
 
         def boom(op):
@@ -162,20 +163,24 @@ class TestFailOk:
 
         a = Op("a", r1, 1.0, thunk=boom, fail_ok=True)
         b = Op("b", r2, 1.0, thunk=lambda op: "fine")
-        Simulator([r1, r2]).run(parallel_workers=2)
+        Simulator([r1, r2]).run()
         assert isinstance(a.error, RuntimeError)
         assert b.result == "fine"
+        assert b.start == 0.0
 
     def test_parallel_exception_propagates_by_default(self):
-        r = Resource("r")
+        """A fatal fault aborts the schedule: no later op runs, not even
+        one on a parallel engine that does not depend on it."""
+        r1, r2 = Resource("r1"), Resource("r2")
 
         def boom(op):
             raise RuntimeError("device lost")
 
-        Op("a", r, 1.0, thunk=boom)
-        Op("b", r, 1.0, thunk=lambda op: None)
+        Op("a", r1, 1.0, thunk=boom)
+        b = Op("b", r2, 1.0, thunk=lambda op: "ran")
         with pytest.raises(RuntimeError, match="device lost"):
-            Simulator([r]).run(parallel_workers=2)
+            Simulator([r1, r2]).run()
+        assert b.result is None
 
     def test_error_cleared_on_success(self):
         r = Resource("r")
@@ -209,76 +214,64 @@ class TestReset:
 
 
 class TestParallelAbortSemantics:
-    """Regression suite for the thread-pool thunk runner.
+    """Error semantics for ops on parallel engines.
 
-    The pool must preserve the serial Kahn loop's error semantics: a
-    fatal thunk aborts the DAG (nothing new dispatched, in-flight work
-    drains), the raised error is that of the *earliest issued* failed
-    op regardless of thread completion order, and fail_ok faults stay
-    op-level events whose successors still run. The original runner
-    kept submitting successors of ops that finished after a fatal
-    failure and raised whichever error a thread happened to report
-    first.
+    Thunks run in the Kahn loop's dependency order: a fatal thunk aborts
+    the whole DAG at once (no later op runs, on any engine), while a
+    ``fail_ok`` fault stays an op-level event whose successors still run.
     """
 
-    def test_fatal_error_is_earliest_issued(self):
-        # `a` is issued first but finishes last; the raised error must
-        # still be a's, not the fast-failing b's.
-        import time
-
-        r1, r2 = Resource("r1"), Resource("r2")
-
-        def slow_boom(op):
-            time.sleep(0.1)
-            raise RuntimeError("first-issued failure")
-
-        def fast_boom(op):
-            raise RuntimeError("later-issued failure")
-
-        Op("a", r1, 1.0, thunk=slow_boom)
-        Op("b", r2, 1.0, thunk=fast_boom)
-        with pytest.raises(RuntimeError, match="first-issued failure"):
-            Simulator([r1, r2]).run(parallel_workers=2)
-
     def test_no_dispatch_after_fatal(self):
-        # `a` fails immediately; `slow` is already in flight and drains,
-        # but its successor `c` must never be dispatched — it would
-        # mutate shared encoder state mid-abort.
-        import time
-
+        # `a` fails; neither its successors nor the ready op on the other
+        # engine, nor that op's successor, may run afterwards — they
+        # would mutate shared encoder state mid-abort.
+        calls = []
         r1, r2 = Resource("r1"), Resource("r2")
 
         def boom(op):
+            calls.append(op.label)
             raise RuntimeError("abort the DAG")
 
-        def slow_ok(op):
-            time.sleep(0.25)
-            return "drained"
+        def ok(op):
+            calls.append(op.label)
+            return "ran"
 
-        Op("a", r1, 1.0, thunk=boom)
-        slow = Op("slow", r2, 1.0, thunk=slow_ok)
-        c = Op("c", r2, 1.0, deps=[slow], thunk=lambda op: "ran")
+        a = Op("a", r1, 1.0, thunk=boom)
+        after = Op("after", r1, 1.0, thunk=ok)
+        other = Op("other", r2, 1.0, thunk=ok)
+        c = Op("c", r2, 1.0, deps=[other], thunk=ok)
         with pytest.raises(RuntimeError, match="abort the DAG"):
-            Simulator([r1, r2]).run(parallel_workers=2)
-        assert slow.result == "drained"  # in-flight work drains
-        assert c.result is None          # nothing new after the fatal
+            Simulator([r1, r2]).run()
+        assert calls == ["a"]
+        assert a.result is None and a.error is None
+        assert after.result is None and other.result is None
+        assert c.result is None
 
     def test_fail_ok_successors_still_run(self):
-        r = Resource("r")
+        # The captured fault reaches successors on both engines: the
+        # cross-engine dependant sees the failed op's empty result.
+        r1, r2 = Resource("r1"), Resource("r2")
 
         def boom(op):
             raise RuntimeError("device lost")
 
-        a = Op("a", r, 1.0, thunk=boom, fail_ok=True)
-        b = Op("b", r, 1.0, deps=[a], thunk=lambda op: "recovered")
-        Simulator([r]).run(parallel_workers=2)
+        a = Op("a", r1, 1.0, thunk=boom, fail_ok=True)
+        b = Op("b", r1, 1.0, thunk=lambda op: "recovered")
+        c = Op("c", r2, 0.5, deps=[a], thunk=lambda op: ("retry", a.result))
+        Simulator([r1, r2]).run()
         assert isinstance(a.error, RuntimeError)
         assert b.result == "recovered"
+        assert c.result == ("retry", None)
+        assert (b.start, c.start) == (1.0, 1.0)
 
     def test_parallel_results_and_records_match_serial(self):
-        # Diamond DAG with value-passing thunks: the pool must produce
-        # the identical results and the identical schedule records.
-        def build_and_run(workers, fast):
+        # Diamond DAG with value-passing thunks over two engines: each
+        # thunk sees its predecessors' results, and executing the thunks
+        # leaves the schedule identical to model mode and to the
+        # reference evaluation.
+        from reference_des import reference_run
+
+        def build():
             r1, r2 = Resource("r1"), Resource("r2")
             a = Op("a", r1, 1.0, thunk=lambda op: 10)
             b = Op("b", r1, 2.0, deps=[a], thunk=lambda op: a.result + 1)
@@ -287,29 +280,17 @@ class TestParallelAbortSemantics:
                 "d", r2, 1.0, deps=[b, c],
                 thunk=lambda op: b.result + c.result,
             )
-            recs = Simulator([r1, r2]).run(
-                parallel_workers=workers, fast=fast
-            )
-            return [x.result for x in (a, b, c, d)], recs
+            return [r1, r2], (a, b, c, d)
 
-        ref_results, ref_recs = build_and_run(0, fast=True)
-        assert ref_results == [10, 11, 12, 23]
-        for workers in (2, 4):
-            for fast in (True, False):
-                results, recs = build_and_run(workers, fast=fast)
-                assert results == ref_results
-                assert recs == ref_recs
+        resources, ops = build()
+        recs = Simulator(resources).run()
+        assert [x.result for x in ops] == [10, 11, 12, 23]
+        assert (ops[3].start, ops[3].end) == (3.0, 4.0)
 
-    def test_parallel_stall_is_reported(self):
-        # A dependency cycle is caught by the scheduling passes before
-        # the pool runs; the pool's own stall check is exercised through
-        # the public API only by this never-ready construction being
-        # impossible — so drive the runner directly.
-        r = Resource("r")
-        a = Op("a", r, 1.0, thunk=lambda op: 1)
-        b = Op("b", r, 1.0, thunk=lambda op: 2)
-        sim = Simulator([r])
-        preds = {a: [], b: [a]}
-        succs = {a: [], b: []}  # broken: a never notifies b
-        with pytest.raises(RuntimeError, match="stalled"):
-            sim._run_thunks_parallel([a, b], preds, succs, workers=2)
+        resources, model_ops = build()
+        assert Simulator(resources).run(execute_thunks=False) == recs
+        assert all(x.result is None for x in model_ops)
+
+        resources, ref_ops = build()
+        assert reference_run(resources) == recs
+        assert [x.result for x in ref_ops] == [10, 11, 12, 23]

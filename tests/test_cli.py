@@ -70,6 +70,22 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert any(e.get("ph") == "X" for e in payload["traceEvents"])
 
+    def test_profile_writes_one_phase_table(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        rc = main(["profile", "--platform", "SysHK", "--frames", "5",
+                   "--json", str(out)])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert text.count("LB overhead") == 1
+        import json
+
+        payload = json.loads(out.read_text())
+        assert payload["platform"] == "SysHK"
+        assert payload["frames"] == 5
+        assert payload["overhead_ms_per_frame"] > 0
+        phases = {p["phase"] for p in payload["phases"]}
+        assert {"lp_solve", "des"} <= phases
+
     def test_run_with_fault_injection(self, tmp_path, capsys):
         log = tmp_path / "faults.json"
         rc = main([
